@@ -1,7 +1,7 @@
 """Crypto substrate microbenchmarks.
 
-Times the from-scratch implementations (real big-int RSA/DSA and the
-pure-Python MD5/SHA-1) and sanity-checks the *calibrated cost model*
+Times the from-scratch signature implementations (real big-int
+RSA/DSA) and sanity-checks the *calibrated cost model*
 against the paper's qualitative claims: RSA and DSA signing cost about
 the same, RSA verification is much cheaper than DSA verification, and
 larger RSA keys cost more.  (The model encodes the 2006 testbed, so
@@ -10,13 +10,8 @@ absolute times are asserted only on the model, not on this machine.)
 
 import random
 
-import pytest
-
 from repro.crypto import dsa, rsa
 from repro.crypto.costs import CryptoCostModel
-from repro.crypto.digests import digest
-from repro.crypto.md5 import md5
-from repro.crypto.sha1 import sha1
 from repro.crypto.signing import SimulatedSignatureProvider, default_dsa_parameters
 from repro.crypto.schemes import MD5_RSA_1024
 
@@ -45,18 +40,6 @@ def test_dsa1024_verify(benchmark):
     signature = dsa.sign(DSA_KEY, MESSAGE, "sha1")
     ok = benchmark(lambda: dsa.verify(DSA_KEY.public, MESSAGE, signature, "sha1"))
     assert ok
-
-
-def test_md5_1kb(benchmark):
-    data = bytes(range(256)) * 4
-    out = benchmark(lambda: md5(data))
-    assert len(out) == 16
-
-
-def test_sha1_1kb(benchmark):
-    data = bytes(range(256)) * 4
-    out = benchmark(lambda: sha1(data))
-    assert len(out) == 20
 
 
 def test_simulated_token_sign(benchmark):

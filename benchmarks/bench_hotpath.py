@@ -1,11 +1,10 @@
 """Hot-path microbenchmarks: the per-message constant factors.
 
 A cProfile of a representative sweep point showed ~35% of harness wall
-time inside canonical encoding and ~16% inside the from-scratch MD5 —
-none of it affecting any simulated metric.  These benchmarks pin the
-optimised ingredients (the single-pass memoising encoder of
-:mod:`repro.crypto.canon`, the cached ``signing_bytes``, the hashlib
-digest backend, the tuple-keyed event heap) and assert the properties
+time inside canonical encoding — none of it affecting any simulated
+metric.  These benchmarks pin the optimised ingredients (the
+single-pass memoising encoder of :mod:`repro.crypto.canon`, the cached
+``signing_bytes``, the tuple-keyed event heap) and assert the properties
 the optimisation relies on: byte-identical output and cache hits that
 actually hit.  Absolute wall-time claims live in ``python -m repro
 perf`` output, not in asserts — this machine is not CI's machine.
@@ -15,7 +14,6 @@ import copy
 
 from repro.core.messages import Ack
 from repro.crypto.canon import encode_canonical, strip_memo
-from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes, reference_canonical_bytes
 from repro.crypto.schemes import MD5_RSA_1024
 from repro.crypto.signed import sign_message, signing_bytes
@@ -64,13 +62,6 @@ def test_signing_bytes_cached(benchmark):
     expected = signing_bytes(MESSAGE.body, MESSAGE.signatures)
     out = benchmark(lambda: signing_bytes(MESSAGE.body, MESSAGE.signatures))
     assert out == expected
-
-
-def test_md5_backend_equivalence_1kb(benchmark):
-    """hashlib (the default) and the from-scratch MD5 are bit-identical."""
-    data = bytes(range(256)) * 4
-    out = benchmark(lambda: digest("md5", data))
-    assert out == digest("md5", data, use_stdlib=False)
 
 
 def test_ack_payload_encoding(benchmark):
@@ -139,14 +130,3 @@ def test_link_delay_stream(benchmark):
     rng = random.Random(3)
     assert got == [model.sample(1024, rng, i * 1e-3) for i in range(1_000)]
 
-
-def test_fast_crypto_signing_bytes(benchmark):
-    """Identity-token signing bytes: sign/verify agree on the token
-    stream, and forged bodies still mismatch, without byte encoding."""
-    from repro.crypto.costs import fast_crypto
-
-    forged = sample_hotpath_message()
-    with fast_crypto():
-        out = benchmark(lambda: signing_bytes(MESSAGE.body, MESSAGE.signatures))
-        assert out == signing_bytes(MESSAGE.body, MESSAGE.signatures)
-        assert out != signing_bytes(forged.body, forged.signatures)

@@ -6,8 +6,8 @@ The package implements the paper's signal-on-crash total-order
 protocols (SC and SCR), the baselines it compares against (Castro &
 Liskov's BFT, a crash-tolerant CT), and the full substrate required to
 reproduce its evaluation: a deterministic discrete-event simulator
-standing in for the 15-machine LAN testbed, a from-scratch crypto stack
-(RSA, DSA, MD5, SHA-1), failure injection, and an experiment harness
+standing in for the 15-machine LAN testbed, a from-scratch signature
+stack (RSA, DSA), failure injection, and an experiment harness
 regenerating every figure.
 
 Quick start::

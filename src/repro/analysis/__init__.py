@@ -31,6 +31,7 @@ from repro.analysis.engine import (
     lint_sources,
 )
 from repro.analysis.registry import (
+    REGISTRY,
     all_checkers,
     get,
     names,
@@ -53,6 +54,7 @@ __all__ = [
     "Finding",
     "JSON_SCHEMA_VERSION",
     "LintReport",
+    "REGISTRY",
     "SourceFile",
     "TraceKindChecker",
     "WireSafetyChecker",

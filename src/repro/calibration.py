@@ -17,10 +17,9 @@ The constants fall into four groups:
 
 Because every cryptographic *cost* is charged from this profile, the
 code that actually computes digest/signature values is free to be
-fast: :func:`repro.crypto.digests.digest` defaults to the ``hashlib``
-backend (bit-identical to the from-scratch reference, ~50x quicker)
-and the simulated provider mints MAC tokens — neither choice can move
-a simulated metric, only harness wall time.
+fast: :func:`repro.crypto.digests.digest` runs on ``hashlib`` and the
+simulated provider mints MAC tokens — neither choice can move a
+simulated metric, only harness wall time.
 
 ``overload_gamma`` inflates service times for work that starts late
 (queued), modelling the runtime's degradation under overload (GC,

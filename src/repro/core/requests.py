@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto import canon as _canon
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes
 
@@ -38,14 +37,8 @@ class ClientRequest:
 
         Memoised per instance: a request is digested by the coordinator
         at batch formation and again wherever an order referencing it
-        is checked, always over the same frozen content.  In
-        fast-crypto mode the digest is the request's identity token —
-        every process holds the same request *object* (in-simulation
-        messages travel by reference), so token equality certifies
-        exactly what digest equality does.
+        is checked, always over the same frozen content.
         """
-        if _canon._fast_tokens:
-            return _canon.identity_token(self)
         cache = self.__dict__.get("_digest_cache_")
         if cache is None:
             cache = {}

@@ -1,15 +1,14 @@
-"""Cryptographic substrate, built from scratch.
+"""Cryptographic substrate.
 
 The paper's protocols lean on three cryptographic ingredients
 (Assumption 2): unforgeable signatures, collision-resistant digests and
-a trusted dealer that provisions keys.  This package implements all of
-them in pure Python:
+a trusted dealer that provisions keys.  This package implements the
+signatures and the dealer from scratch in pure Python:
 
 * :mod:`~repro.crypto.numtheory` — Miller–Rabin, modular inverses,
   prime generation;
-* :mod:`~repro.crypto.md5` / :mod:`~repro.crypto.sha1` — the two digest
-  functions the paper evaluates, verified bit-for-bit against
-  ``hashlib`` in the test suite;
+* :mod:`~repro.crypto.digests` — the two digest functions the paper
+  evaluates (MD5, SHA-1, computed by ``hashlib``);
 * :mod:`~repro.crypto.rsa` / :mod:`~repro.crypto.dsa` — the two
   signature schemes (RSA-1024/1536, DSA-1024);
 * :mod:`~repro.crypto.signing` — the provider interface protocols use,

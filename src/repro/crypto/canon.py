@@ -279,61 +279,6 @@ def memoized_fragment(value: Any) -> str | None:
     return fragment if type(fragment) is str else None
 
 
-# ----------------------------------------------------------------------
-# Fast-crypto identity tokens (cost-model-only mode)
-# ----------------------------------------------------------------------
-# When enabled (see ``repro.crypto.costs.fast_crypto``), signing and
-# digesting stop encoding real canonical bytes and instead use short
-# per-object *identity tokens*.  This is sound inside one simulation
-# because messages travel by reference: every process that digests or
-# verifies a value holds the same object, so token equality coincides
-# with the value equality that real digests certify — including the
-# *inequality* a WrongDigestFault's corrupted bytes must produce.  CPU
-# time is charged from the calibrated cost model either way, so
-# simulated metrics are unchanged; only harness wall time moves.
-
-#: Instance attribute carrying an object's fast-mode identity token.
-_TOKEN_ATTR = "_canon_token_"
-
-_fast_tokens = False
-_token_counter = 0
-
-
-def fast_tokens_enabled() -> bool:
-    """Whether identity tokens currently replace canonical bytes."""
-    return _fast_tokens
-
-
-def set_fast_tokens(enabled: bool) -> None:
-    """Flip fast-token mode (prefer ``repro.crypto.costs.fast_crypto``)."""
-    global _fast_tokens
-    _fast_tokens = bool(enabled)
-
-
-def identity_token(value: Any) -> bytes:
-    """The 8-byte token standing in for ``value``'s canonical bytes.
-
-    Minted on first use (a deterministic counter — simulations are
-    single-threaded, so assignment order is a pure function of the
-    seed) and pinned on the instance.  Objects that cannot carry the
-    attribute fall back to their real canonical bytes, which satisfies
-    the same contract: equal input object, equal output bytes.
-    """
-    global _token_counter
-    d = getattr(value, "__dict__", None)
-    if d is not None:
-        token = d.get(_TOKEN_ATTR)
-        if token is not None:
-            return token
-    _token_counter += 1
-    token = _token_counter.to_bytes(8, "big")
-    try:
-        object.__setattr__(value, _TOKEN_ATTR, token)
-    except (AttributeError, TypeError):
-        return canonical_fragment(value).encode("ascii")
-    return token
-
-
 def strip_memo(value: Any) -> None:
     """Recursively delete cached fragments from an object graph.
 

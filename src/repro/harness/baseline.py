@@ -40,7 +40,7 @@ def metric_direction(name: str) -> str | None:
     namespaced form scenario probe metrics use), so registering a new
     probe automatically gates what it declares.  The name heuristics
     remain as a fallback for metrics no probe claims (the scenario
-    built-ins, and any v1/v2-era artifact names).
+    built-ins).
     """
     from repro.harness import probes as probe_registry
 
@@ -88,7 +88,7 @@ class BaselineReport:
     missing_metrics: list[str] = field(default_factory=list)
     #: Informational wall-time telemetry (never gated): per shared
     #: point, ``(point_id, baseline_wall_s, current_wall_s)`` where a
-    #: side without telemetry (schema v1) reports 0.0.
+    #: side without telemetry reports 0.0.
     wall_times: list[tuple[str, float, float]] = field(default_factory=list)
     #: Suite-level ``(baseline, current)`` telemetry, 0.0 when absent.
     suite_wall_s: tuple[float, float] = (0.0, 0.0)
@@ -151,8 +151,8 @@ class BaselineReport:
     def _telemetry_lines(self) -> list[str]:
         """Wall-time columns — informational only, never part of the
         verdict (wall time is machine-dependent).  A side without a
-        usable measurement renders as '-'; events/s appears only for
-        schema-v2 artifacts."""
+        usable measurement renders as '-'; events/s appears only when
+        recorded."""
         rows = []
         for point_id, base_wall, cur_wall in self.wall_times:
             if base_wall <= 0.0 and cur_wall <= 0.0:

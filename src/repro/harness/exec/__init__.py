@@ -28,6 +28,7 @@ surface.
 """
 
 from repro.harness.exec.base import (
+    REGISTRY,
     Executor,
     create,
     get,
@@ -51,6 +52,7 @@ __all__ = [
     "Checkpoint",
     "Executor",
     "PoolExecutor",
+    "REGISTRY",
     "SerialExecutor",
     "SocketExecutor",
     "create",

@@ -7,12 +7,12 @@ the contract every backend must honour so that ``serial``, ``pool``
 and ``sockets`` are byte-identical for the same grid and the baseline
 gate never sees a scheduling artefact.
 
-Backends register by class (keyed on their ``name``), mirroring the
-protocol plugin registry of :mod:`repro.protocols`: the three builtin
-backends register on package import, and anything else —  an SSH
-fan-out, a batch-queue submitter — becomes reachable from
-:func:`repro.harness.runner.execute` and every CLI ``--executor`` flag
-the moment it calls :func:`register`.
+Backends register by class (keyed on their ``name``) in one
+:class:`~repro.registry.Registry`, like the protocol plugins of
+:mod:`repro.protocols`: the three builtin backends register on package
+import, and anything else — an SSH fan-out, a batch-queue submitter —
+becomes reachable from :func:`repro.harness.runner.execute` and every
+CLI ``--executor`` flag the moment it calls :func:`register`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 from repro.errors import ConfigError
 from repro.harness.runner import PointResult, Progress, SweepTask
 from repro.harness.telemetry import Stopwatch
+from repro.registry import Registry
 
 #: Per-completion callback type (``None`` disables reporting).
 ProgressCallback = Callable[[Progress], None]
@@ -80,45 +81,12 @@ class Executor(ABC):
             ))
 
 
-# ----------------------------------------------------------------------
-# Registry (mirrors repro.protocols.registry)
-# ----------------------------------------------------------------------
-_REGISTRY: dict[str, type[Executor]] = {}
-
-
-def register(backend: type[Executor], *, replace: bool = False) -> type[Executor]:
-    """Add an executor class under its ``name``; returns it, so it can
-    be used as a decorator.  Duplicate names are an error unless
-    ``replace=True`` (shadowing a builtin in tests)."""
-    if not backend.name:
-        raise ConfigError(f"executor backend {backend!r} has no name")
-    if backend.name in _REGISTRY and not replace:
-        raise ConfigError(
-            f"executor {backend.name!r} is already registered; "
-            f"pass replace=True to override"
-        )
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def unregister(name: str) -> None:
-    """Remove a backend (primarily for test teardown)."""
-    _REGISTRY.pop(name, None)
-
-
-def get(name: str) -> type[Executor]:
-    """Look up a backend class by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown executor {name!r}; known: {names()}"
-        ) from None
-
-
-def names() -> tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_REGISTRY)
+#: Backend name -> :class:`Executor` subclass.
+REGISTRY: Registry[type[Executor]] = Registry("executor", error=ConfigError)
+register = REGISTRY.register
+unregister = REGISTRY.unregister
+get = REGISTRY.get
+names = REGISTRY.names
 
 
 def create(name: str, **options: object) -> Executor:

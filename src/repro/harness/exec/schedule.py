@@ -10,10 +10,10 @@ scheduling decision, not an accident).
 
 Costs come from two sources, best first:
 
-* **prior-artifact telemetry** — schema-v2 ``BENCH_*.json`` documents
-  record deterministic per-point ``events`` counts; a previous run of
-  the same grid is therefore a perfect cost oracle
-  (:func:`load_cost_hints` harvests a directory of artifacts);
+* **prior-artifact telemetry** — ``BENCH_*.json`` documents record
+  deterministic per-point ``events`` counts; a previous run of the
+  same grid is therefore a perfect cost oracle (:func:`load_cost_hints`
+  harvests a directory of artifacts);
 * **task shape** — absent hints, :func:`predicted_cost` estimates
   relative cost from the fields that drive simulated work.  Measured
   against real runs, an order point's event count is ~420 events per
@@ -89,8 +89,7 @@ def load_cost_hints(json_dir: str | Path | None) -> dict[str, float]:
     """Harvest ``{point_id: events}`` from every readable
     ``BENCH_*.json`` under ``json_dir``.
 
-    Schema-v1 documents carry no telemetry and contribute nothing;
-    unreadable files are skipped (hints are an optimisation, never a
+    Unreadable files are skipped (hints are an optimisation, never a
     requirement).  Returns ``{}`` for ``None`` / missing directories.
     """
     from repro.harness.artifact import events_by_point, load_artifact

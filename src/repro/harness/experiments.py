@@ -35,7 +35,6 @@ import repro.harness.probes as probe_registry
 import repro.protocols as protocols
 from repro.calibration import CalibrationProfile
 from repro.core.messages import Ack, SignedMessage
-from repro.crypto.costs import fast_crypto as _fast_crypto_mode
 from repro.errors import ConfigError, ReproError
 from repro.failures.faults import WrongDigestFault
 from repro.harness.cluster import build_cluster
@@ -105,7 +104,6 @@ def run_order_experiment(
     warmup_batches: int = 15,
     calibration: CalibrationProfile | None = None,
     probes: tuple[str, ...] | None = None,
-    fast_crypto: bool = False,
 ) -> ProbeReport:
     """Measure one order sweep point through the selected probes.
 
@@ -114,10 +112,7 @@ def run_order_experiment(
     full), and each point aggregates ``n_batches`` measured batches
     after warm-up — the paper averages 100 experimental results.
     ``probes`` names registered probes (default: the paper's
-    latency and throughput measurements).  ``fast_crypto=True``
-    requests cost-model-only crypto (:func:`repro.crypto.costs.
-    fast_crypto`); the run falls back to real byte-level crypto
-    automatically when a selected probe declares ``needs_digests``.
+    latency and throughput measurements).
     """
     plugin = protocols.get(protocol)
     selected = probe_registry.validate_names(
@@ -126,30 +121,6 @@ def run_order_experiment(
     config = plugin.configure(
         scheme=scheme_name, f=f, batching_interval=batching_interval
     )
-    use_fast = fast_crypto and not probe_registry.any_needs_digests(selected)
-    # The fast-crypto context covers cluster *construction* too: the
-    # dealer signs fail-signal blanks at build time, and verification
-    # during the run must see the same byte representation it signed.
-    with _fast_crypto_mode(use_fast):
-        return _run_order_point(
-            plugin, protocol, scheme_name, batching_interval, f, seed,
-            n_batches, warmup_batches, calibration, selected, config,
-        )
-
-
-def _run_order_point(
-    plugin,
-    protocol: str,
-    scheme_name: str,
-    batching_interval: float,
-    f: int,
-    seed: int,
-    n_batches: int,
-    warmup_batches: int,
-    calibration: CalibrationProfile | None,
-    selected: tuple[str, ...],
-    config,
-) -> ProbeReport:
     cluster = build_cluster(protocol, config=config, calibration=calibration, seed=seed)
     rate = saturating_rate(
         config.batch_size_bytes, config.request_bytes, batching_interval
@@ -205,7 +176,6 @@ def run_failover_experiment(
     batching_interval: float = 0.250,
     calibration: CalibrationProfile | None = None,
     probes: tuple[str, ...] | None = None,
-    fast_crypto: bool = False,
 ) -> ProbeReport:
     """Measure fail-over latency with a controlled BackLog size.
 
@@ -214,9 +184,7 @@ def run_failover_experiment(
     accumulate acked-but-uncommitted; a value-domain fault is then
     injected at the coordinator replica, whose shadow detects it and
     fail-signals.  BackLogs therefore carry ``backlog_batches`` KB of
-    uncommitted orders — the paper's 1..5 KB x-axis.  ``fast_crypto``
-    behaves as in :func:`run_order_experiment` (auto-fallback when a
-    selected probe needs digest bytes).
+    uncommitted orders — the paper's 1..5 KB x-axis.
     """
     plugin = protocols.get(protocol)
     if not plugin.supports_failover:
@@ -228,26 +196,6 @@ def run_failover_experiment(
     config = plugin.configure(
         scheme=scheme_name, f=f, batching_interval=batching_interval
     )
-    use_fast = fast_crypto and not probe_registry.any_needs_digests(selected)
-    with _fast_crypto_mode(use_fast):
-        return _run_failover_point(
-            plugin, protocol, scheme_name, backlog_batches, f, seed,
-            batching_interval, calibration, selected, config,
-        )
-
-
-def _run_failover_point(
-    plugin,
-    protocol: str,
-    scheme_name: str,
-    backlog_batches: int,
-    f: int,
-    seed: int,
-    batching_interval: float,
-    calibration: CalibrationProfile | None,
-    selected: tuple[str, ...],
-    config,
-) -> ProbeReport:
     cluster = build_cluster(protocol, config=config, calibration=calibration, seed=seed)
     sim = cluster.sim
 
@@ -480,25 +428,18 @@ def _require_figure_metrics(figure: str, probes: tuple[str, ...]) -> None:
         )
 
 
-def _figure_tasks(figure: str, quick: bool, seed: int, probes=None,
-                  fast_crypto: bool = False):
+def _figure_tasks(figure: str, quick: bool, seed: int, probes=None):
     """The task grid one figure regenerates (quick or full shape).
 
     ``probes`` overrides every point's probe selection (``None`` keeps
-    each experiment's paper defaults); ``fast_crypto`` requests
-    cost-model-only crypto for every point."""
+    each experiment's paper defaults)."""
     if figure == "f3pop":
-        # f3pop points are scenarios: probe selection and crypto mode
-        # live on the ScenarioSpec, not the task.
+        # f3pop points are scenarios: probe selection lives on the
+        # ScenarioSpec, not the task.
         if probes is not None:
             raise ConfigError(
                 "f3pop points are scenarios with a fixed probe set "
                 f"({', '.join(F3POP_PROBES)}); --probes does not apply"
-            )
-        if fast_crypto:
-            raise ConfigError(
-                "f3pop points are scenarios; scenario tasks do not "
-                "support --fast-crypto"
             )
         return f3pop_grid(
             QUICK_F3POP_CLIENTS if quick else F3POP_CLIENTS,
@@ -514,7 +455,6 @@ def _figure_tasks(figure: str, quick: bool, seed: int, probes=None,
             seed=seed,
             n_batches=30 if quick else 100,
             probes=probes,
-            fast_crypto=fast_crypto,
         )
     if figure == "fig6":
         return failover_grid(
@@ -523,7 +463,6 @@ def _figure_tasks(figure: str, quick: bool, seed: int, probes=None,
             QUICK_BACKLOG_BATCHES if quick else BACKLOG_BATCHES,
             seed=seed,
             probes=probes,
-            fast_crypto=fast_crypto,
         )
     if figure == "f3":
         return f3_grid(
@@ -533,7 +472,6 @@ def _figure_tasks(figure: str, quick: bool, seed: int, probes=None,
             seed=seed,
             n_batches=20 if quick else 60,
             probes=probes,
-            fast_crypto=fast_crypto,
         )
     raise ConfigError(f"unknown figure {figure!r}; known: {FIGURES}")
 
@@ -664,8 +602,6 @@ def _sweep_params(args, figure: str, executor: str) -> dict:
     }
     if getattr(args, "probes", None):
         params["probes"] = list(_parse_probes(args.probes))
-    if getattr(args, "fast_crypto", False):
-        params["fast_crypto"] = True
     return params
 
 
@@ -673,8 +609,7 @@ def _cmd_figure(figure: str, args) -> int:
     from repro.harness.artifact import from_results, write_artifact
 
     tasks = _figure_tasks(figure, args.quick, args.seed,
-                          probes=_parse_probes(args.probes),
-                          fast_crypto=args.fast_crypto)
+                          probes=_parse_probes(args.probes))
     executor = args.executor or default_executor(args.jobs, len(tasks))
     watch = Stopwatch()
     results = execute(
@@ -717,8 +652,7 @@ def _cmd_suite(args) -> int:
 
     probes = _parse_probes(args.probes)
     grids = {
-        figure: _figure_tasks(figure, args.quick, args.seed, probes=probes,
-                              fast_crypto=args.fast_crypto)
+        figure: _figure_tasks(figure, args.quick, args.seed, probes=probes)
         for figure in figures
     }
     # Figures sharing identical sweep points (fig4/fig5 measure the
@@ -873,12 +807,6 @@ def _add_sweep_options(parser, json_dir_default=None) -> None:
                         help="checkpoint journal: finished points are "
                              "appended here as they complete, and points "
                              "already journaled are not re-run")
-    parser.add_argument("--fast-crypto", action="store_true",
-                        dest="fast_crypto",
-                        help="cost-model-only crypto: skip byte-level "
-                             "encoding/digesting (simulated metrics are "
-                             "identical; auto-falls back when a selected "
-                             "probe needs digest bytes)")
     parser.add_argument("--probes", default=None, metavar="P1,P2",
                         help="probe selection for every point (default: "
                              "each experiment's paper probes; see "

@@ -11,7 +11,7 @@ harness's speed a first-class, reproducible number:
   and simulator events per second;
 * :func:`microbench` times the individual hot-path ingredients —
   canonical encoding (cold and memo-warm), ``signing_bytes`` with its
-  cache, and the digest backends — so a regression can be localised
+  cache, and the MD5 digest — so a regression can be localised
   without re-profiling;
 * ``--profile`` wraps the reference run in :mod:`cProfile` and prints
   the top of the table, which is exactly how the optimisation targets
@@ -31,7 +31,7 @@ import os
 import pstats
 import subprocess
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ConfigError
@@ -65,9 +65,9 @@ class PerfPoint:
     events_per_second: float
 
 
-def run_reference_point(task: SweepTask = REFERENCE_TASK) -> PerfPoint:
+def run_reference_point() -> PerfPoint:
     """Execute the reference point once and time it."""
-    point = run_task(task)
+    point = run_task(REFERENCE_TASK)
     events = point.events_processed
     return PerfPoint(
         wall_time_s=point.wall_time,
@@ -152,9 +152,8 @@ def microbench() -> list[tuple[str, float, str]]:
         "msg/s",
     ))
     data = bytes(range(256)) * 4  # 1 KB
-    for name, use_stdlib in (("hashlib", True), ("from-scratch", False)):
-        rate = _ops_per_second(lambda: digest("md5", data, use_stdlib=use_stdlib))
-        results.append((f"md5 1KB ({name})", rate / 1024.0, "MB/s"))
+    rate = _ops_per_second(lambda: digest("md5", data))
+    results.append(("md5 1KB (hashlib)", rate / 1024.0, "MB/s"))
     # The streaming-measurement overhead: one probe consuming one
     # commit record — the per-record cost every probed sweep pays on
     # the emit path.
@@ -208,29 +207,17 @@ def _git_sha() -> str:
 
 
 def collect_perf_record(repeats: int = 3, include_micro: bool = True) -> dict:
-    """Measure the reference point in both crypto modes plus the
-    microbench rows, as one versioned, JSON-ready record.
+    """Measure the reference point plus the microbench rows, as one
+    versioned, JSON-ready record.
 
-    Best-of-``repeats`` wall time is recorded per mode (minimum is the
-    right statistic for a deterministic workload on a noisy machine:
-    every run does identical work, so the fastest run is the one with
-    the least interference).
+    Best-of-``repeats`` wall time is recorded (minimum is the right
+    statistic for a deterministic workload on a noisy machine: every
+    run does identical work, so the fastest run is the one with the
+    least interference).
     """
     repeats = max(1, repeats)
-    default_runs = [run_reference_point() for _ in range(repeats)]
-    fast_task = replace(REFERENCE_TASK, fast_crypto=True)
-    fast_runs = [
-        run_reference_point(fast_task) for _ in range(repeats)
-    ]
-
-    def best(runs: list[PerfPoint]) -> dict:
-        top = min(runs, key=lambda r: r.wall_time_s)
-        return {
-            "wall_time_s": top.wall_time_s,
-            "events": top.events,
-            "events_per_second": top.events_per_second,
-        }
-
+    runs = [run_reference_point() for _ in range(repeats)]
+    top = min(runs, key=lambda r: r.wall_time_s)
     record = {
         "schema": PERF_SCHEMA,
         "created_unix": unix_now(),
@@ -238,8 +225,11 @@ def collect_perf_record(repeats: int = 3, include_micro: bool = True) -> dict:
         "reference_point": REFERENCE_TASK.point_id,
         "repeats": repeats,
         "reference": {
-            "default": best(default_runs),
-            "fast_crypto": best(fast_runs),
+            "default": {
+                "wall_time_s": top.wall_time_s,
+                "events": top.events,
+                "events_per_second": top.events_per_second,
+            },
         },
     }
     if include_micro:
@@ -369,15 +359,10 @@ def cmd_perf_compare(args) -> int:
         )
         delta = (value / eps[0] - 1.0) * 100.0 if eps[0] else 0.0
         wall = record["reference"]["default"]["wall_time_s"]
-        fast = record["reference"].get("fast_crypto", {})
-        fast_wall = fast.get("wall_time_s")
         rows.append((
-            sha, created, f"{wall:.3f}",
-            "-" if fast_wall is None else f"{fast_wall:.3f}",
-            f"{value:,.0f}", f"{delta:+.1f}%",
+            sha, created, f"{wall:.3f}", f"{value:,.0f}", f"{delta:+.1f}%",
         ))
-    header = ("commit", "when (UTC)", "wall (s)", "fast-crypto wall (s)",
-              "events/s", "Δ vs oldest")
+    header = ("commit", "when (UTC)", "wall (s)", "events/s", "Δ vs oldest")
     if args.markdown:
         print(f"### Perf trend — {records[-1]['reference_point']}")
         print()
@@ -407,12 +392,9 @@ def cmd_perf(args) -> int:
         )
         path = write_perf_record(record, args.json)
         default = record["reference"]["default"]
-        fast = record["reference"]["fast_crypto"]
         print(
-            f"wrote {path}: default {default['wall_time_s']:.3f}s "
-            f"({default['events_per_second']:,.0f} events/s), fast-crypto "
-            f"{fast['wall_time_s']:.3f}s "
-            f"({fast['events_per_second']:,.0f} events/s)"
+            f"wrote {path}: {default['wall_time_s']:.3f}s "
+            f"({default['events_per_second']:,.0f} events/s)"
         )
         return 0
     repeats = max(1, args.repeat)
@@ -468,9 +450,8 @@ def add_perf_arguments(parser) -> None:
                              "(default %(default)s; best is reported)")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="emit a versioned BENCH_perf.json record "
-                             "(reference point in default and fast-crypto "
-                             "modes, microbench rows, git sha) instead of "
-                             "the human tables")
+                             "(reference point, microbench rows, git sha) "
+                             "instead of the human tables")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the reference point and print the top")
     parser.add_argument("--profile-top", type=int, default=20,

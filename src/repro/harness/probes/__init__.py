@@ -34,7 +34,7 @@ from repro.harness.probes.feed import (
     replay_records,
 )
 from repro.harness.probes.registry import (
-    any_needs_digests,
+    REGISTRY,
     all_probes,
     create_all,
     get,
@@ -61,7 +61,6 @@ from repro.harness.probes.scale import (
 )
 
 __all__ = [
-    "any_needs_digests",
     "ClientFairnessProbe",
     "CryptoCostProbe",
     "FailoverProbe",
@@ -71,6 +70,7 @@ __all__ = [
     "ProbeContext",
     "ProbeReport",
     "QueueDepthProbe",
+    "REGISTRY",
     "RecoveryTimelineProbe",
     "ThroughputProbe",
     "all_probes",

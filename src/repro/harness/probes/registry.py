@@ -1,8 +1,9 @@
 """The measurement-probe registry.
 
 Maps probe names to :class:`~repro.harness.probes.base.Probe`
-*classes* (instances are per-run), mirroring the protocol and executor
-registries.  The paper's three probes register on package import; a
+*classes* (instances are per-run) through one
+:class:`~repro.registry.Registry`, like the protocol, executor and
+checker axes.  The paper's three probes register on package import; a
 new probe registers with :func:`register` and is immediately
 selectable from ``SweepTask(probes=...)``, scenario specs, every CLI
 ``--probes`` flag and ``python -m repro probes``.
@@ -14,64 +15,16 @@ from typing import Iterable, Sequence
 
 from repro.errors import ConfigError
 from repro.harness.probes.base import Probe, ProbeContext
+from repro.registry import Registry
 
-_REGISTRY: dict[str, type[Probe]] = {}
-
-
-def register(probe: type[Probe], *, replace: bool = False) -> type[Probe]:
-    """Add a probe class under its ``name``; returns it, so it can be
-    used as a decorator.  Duplicate names are an error unless
-    ``replace=True`` (shadowing a builtin in tests)."""
-    if not probe.name:
-        raise ConfigError(f"probe class {probe!r} has no name")
-    if probe.name in _REGISTRY and not replace:
-        raise ConfigError(
-            f"probe {probe.name!r} is already registered; "
-            f"pass replace=True to override"
-        )
-    _REGISTRY[probe.name] = probe
-    return probe
-
-
-def unregister(name: str) -> None:
-    """Remove a probe (primarily for test teardown)."""
-    _REGISTRY.pop(name, None)
-
-
-def get(name: str) -> type[Probe]:
-    """Look up a probe class by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown probe {name!r}; known: {names()}"
-        ) from None
-
-
-def names() -> tuple[str, ...]:
-    """Registered probe names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def all_probes() -> tuple[type[Probe], ...]:
-    """Every registered probe class, in registration order."""
-    return tuple(_REGISTRY.values())
-
-
-def validate_names(selected: Iterable[str]) -> tuple[str, ...]:
-    """Check every name resolves and none repeats; returns the tuple.
-
-    Duplicates would only surface after a full simulation, as a
-    self-collision in the merged metric map — reject them here, at
-    selection time.
-    """
-    selected = tuple(selected)
-    duplicates = sorted({name for name in selected if selected.count(name) > 1})
-    if duplicates:
-        raise ConfigError(f"probe selection repeats {duplicates}")
-    for name in selected:
-        get(name)
-    return selected
+#: Probe name -> :class:`Probe` subclass.
+REGISTRY: Registry[type[Probe]] = Registry("probe", error=ConfigError)
+register = REGISTRY.register
+unregister = REGISTRY.unregister
+get = REGISTRY.get
+names = REGISTRY.names
+all_probes = REGISTRY.values
+validate_names = REGISTRY.validate
 
 
 def create_all(
@@ -90,12 +43,6 @@ def kinds_union(selected: Iterable[str]) -> frozenset[str]:
     return frozenset(kinds)
 
 
-def any_needs_digests(selected: Iterable[str]) -> bool:
-    """Whether any named probe declares it reads digest/signature bytes
-    (``Probe.needs_digests``) — the fast-crypto fallback condition."""
-    return any(get(name).needs_digests for name in selected)
-
-
 def metric_direction(metric: str) -> str | None:
     """Gate direction for a metric name, consulting probe declarations.
 
@@ -105,9 +52,9 @@ def metric_direction(metric: str) -> str | None:
     Returns ``None`` when no registered probe claims the metric.
     """
     probe_part, _, bare = metric.rpartition(".")
-    if probe_part and probe_part in _REGISTRY:
-        return dict(_REGISTRY[probe_part].directions).get(bare)
-    for probe in _REGISTRY.values():
+    if probe_part in names():
+        return dict(get(probe_part).directions).get(bare)
+    for probe in all_probes():
         direction = dict(probe.directions).get(metric)
         if direction is not None:
             return direction

@@ -15,19 +15,27 @@ presents them::
     ('sc', 'scr', 'bft', 'ct')
 """
 
+from repro.errors import ConfigError
 from repro.protocols.base import Deployment, OrderProtocol, check_n_rule
 from repro.protocols.bft import BftPlugin
 from repro.protocols.ct import CtPlugin
-from repro.protocols.registry import (
-    all_protocols,
-    failover_capable,
-    get,
-    names,
-    register,
-    unregister,
-)
 from repro.protocols.sc import ScPlugin
 from repro.protocols.scr import ScrPlugin
+from repro.registry import Registry
+
+#: Protocol name -> :class:`OrderProtocol` instance.
+REGISTRY: Registry[OrderProtocol] = Registry("protocol", error=ConfigError)
+register = REGISTRY.register
+unregister = REGISTRY.unregister
+get = REGISTRY.get
+names = REGISTRY.names
+all_protocols = REGISTRY.values
+
+
+def failover_capable() -> tuple[str, ...]:
+    """Names of protocols the fail-over experiment applies to."""
+    return tuple(p.name for p in REGISTRY.values() if p.supports_failover)
+
 
 register(ScPlugin())
 register(ScrPlugin())
@@ -39,6 +47,7 @@ __all__ = [
     "CtPlugin",
     "Deployment",
     "OrderProtocol",
+    "REGISTRY",
     "ScPlugin",
     "ScrPlugin",
     "all_protocols",

@@ -15,114 +15,19 @@ narrow surface this module names explicitly —
 :class:`~repro.sim.kernel.Simulator` + ``Network`` is one
 implementation (virtual time); :mod:`repro.live` provides another
 (asyncio wall clock + TCP).  This module ships the third, smallest
-backend: :class:`StepRuntime` + :class:`LocalTransport`, a kernel-free
-single-process harness that can *step* protocol logic against recorded
-inputs — the cross-validation tool that proves the protocol code is
-genuinely runtime-independent (replaying a simulator recording through
-it must reproduce the commit order bit for bit; see
+transport: :class:`LocalTransport`, a wire-free ``Network`` surface.
+On a plain :class:`~repro.sim.kernel.Simulator` clock it lets a single
+process be *stepped* against recorded inputs, with no ``Network`` in
+the loop — the cross-validation tool that proves the protocol code is
+genuinely transport-independent (replaying a simulator recording
+through it must reproduce the commit order bit for bit; see
 ``tests/live/test_replay.py``).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
-
-from repro.errors import SimulationError
-from repro.sim.trace import Tracer
-
-
-class StepTimer:
-    """A pending :class:`StepRuntime` timer.
-
-    Mirrors the :class:`~repro.sim.events.Event` handle contract the
-    protocol helpers rely on (:class:`~repro.core.suspicion.
-    ExpectationMonitor` cancels via ``.active`` / ``.cancel()``):
-    cancelling twice is an error, firing deactivates.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "_state")
-
-    def __init__(self, time: float, seq: int, callback, args) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self._state = "pending"
-
-    @property
-    def active(self) -> bool:
-        return self._state == "pending"
-
-    @property
-    def cancelled(self) -> bool:
-        return self._state == "cancelled"
-
-    def cancel(self) -> None:
-        if self._state != "pending":
-            raise SimulationError(f"cannot cancel a {self._state} timer")
-        self._state = "cancelled"
-
-
-class StepRuntime:
-    """A kernel-free clock: timers fire only when :meth:`run_until`
-    advances the clock past them.
-
-    Satisfies the protocol driver surface (``now`` / ``schedule`` /
-    ``schedule_at`` / ``trace``) without importing
-    :mod:`repro.sim.kernel`; ties in firing time break by scheduling
-    order, the kernel's discipline.
-    """
-
-    def __init__(self, trace: Tracer | None = None) -> None:
-        self.now = 0.0
-        self.trace = trace if trace is not None else Tracer()
-        self._heap: list[tuple[float, int, StepTimer]] = []
-        self._seq = 0
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
-
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> StepTimer:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay}s in the past")
-        return self.schedule_at(self.now + delay, callback, *args)
-
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> StepTimer:
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time}: clock already at t={self.now}"
-            )
-        timer = StepTimer(time, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, (time, timer.seq, timer))
-        return timer
-
-    def run_until(self, time: float) -> int:
-        """Fire every pending timer due at or before ``time``; the
-        clock is left at ``time``.  Returns the number fired."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot rewind the clock to t={time} from t={self.now}"
-            )
-        fired = 0
-        heap = self._heap
-        while heap and heap[0][0] <= time:
-            _, _, timer = heapq.heappop(heap)
-            if not timer.active:
-                continue
-            self.now = timer.time
-            timer._state = "fired"
-            timer.callback(*timer.args)
-            fired += 1
-        self.now = time
-        return fired
 
 
 class LocalTransport:
@@ -265,25 +170,27 @@ def replay_process(
     end_time: float,
     calibration=None,
 ):
-    """Re-run one process's recorded inputs through a kernel-free
+    """Re-run one process's recorded inputs through a network-free
     deployment; returns the replayed process.
 
     A fresh deployment of ``protocol`` is built against a
-    :class:`StepRuntime` + :class:`LocalTransport` (remote sends
-    dropped: their consequences are already in the recording), only
-    ``name`` is started, and each recorded dispatch is injected after
-    advancing the clock to its time — timers due up to that instant
-    (batch formation, heartbeats) fire first, as they did in the
-    original interleaving.  With the same seed the trusted dealer
-    provisions identical keys, so signature checks behave identically.
+    :class:`~repro.sim.kernel.Simulator` + :class:`LocalTransport`
+    (remote sends dropped: their consequences are already in the
+    recording), only ``name`` is started, and each recorded dispatch is
+    injected after ``run(until=...)`` advances the clock to its time —
+    timers due up to that instant (batch formation, heartbeats) fire
+    first, as they did in the original interleaving.  With the same
+    seed the trusted dealer provisions identical keys, so signature
+    checks behave identically.
     """
     import repro.protocols as protocols
     from repro.calibration import paper_testbed
     from repro.crypto.dealer import TrustedDealer
     from repro.protocols.base import Deployment
+    from repro.sim.kernel import Simulator
 
     plugin = protocols.get(protocol)
-    runtime = StepRuntime()
+    runtime = Simulator(seed=seed)
     transport = LocalTransport(runtime)
     names = plugin.process_names(config)
     dealer = TrustedDealer(config.scheme, mode="simulated", seed=seed)
@@ -300,9 +207,9 @@ def replay_process(
     process = deployment.processes[name]
     process.start()
     for dispatch in dispatches:
-        runtime.run_until(dispatch.time)
+        runtime.run(until=dispatch.time)
         process.on_message(dispatch.sender, dispatch.payload)
-    runtime.run_until(max(end_time, runtime.now))
+    runtime.run(until=end_time)
     return process
 
 

@@ -123,18 +123,14 @@ def test_builtin_checkers_register_on_import():
     )
 
 
-def test_register_rejects_bad_codes_and_duplicates():
-    class Nameless(Checker):
-        code = ""
-
-    with pytest.raises(AnalysisError):
-        registry.register(Nameless)
-
-    class Clashing(Checker):
-        code = "RPR001"
-
-    with pytest.raises(AnalysisError):
-        registry.register(Clashing)
+def test_register_rejects_bad_codes():
+    """Codes double as finding codes, so they must look like RPR001;
+    the rest of the contract is in tests/test_registry_contract.py."""
+    for code in ("", "rpr001", "RPR01", "R001", "RPR0001", "RPR-001"):
+        bad = type("Bad", (Checker,), {"code": code})
+        with pytest.raises(AnalysisError, match="needs a code"):
+            registry.register(bad)
+    assert "RPR01" not in registry.names()
 
 
 def test_register_unregister_roundtrip():

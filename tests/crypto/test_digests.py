@@ -1,12 +1,11 @@
-"""Unit tests for the from-scratch digests and the registry."""
+"""Unit tests for the digest registry: RFC/FIPS vectors through
+``digest()`` itself."""
 
 import hashlib
 
 import pytest
 
 from repro.crypto.digests import digest, digest_size
-from repro.crypto.md5 import md5, md5_hex
-from repro.crypto.sha1 import sha1, sha1_hex
 from repro.errors import CryptoError
 
 # RFC 1321 appendix A.5 test suite.
@@ -28,20 +27,20 @@ SHA1_VECTORS = {
 
 def test_md5_rfc_vectors():
     for message, expected in MD5_VECTORS.items():
-        assert md5_hex(message) == expected
+        assert digest("md5", message).hex() == expected
 
 
 def test_sha1_fips_vectors():
     for message, expected in SHA1_VECTORS.items():
-        assert sha1_hex(message) == expected
+        assert digest("sha1", message).hex() == expected
 
 
 @pytest.mark.parametrize("size", [0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 1000])
 def test_padding_boundaries_match_hashlib(size):
     data = bytes(range(256)) * (size // 256 + 1)
     data = data[:size]
-    assert md5(data) == hashlib.md5(data).digest()
-    assert sha1(data) == hashlib.sha1(data).digest()
+    assert digest("md5", data) == hashlib.md5(data).digest()
+    assert digest("sha1", data) == hashlib.sha1(data).digest()
 
 
 def test_registry_dispatch():
@@ -50,20 +49,11 @@ def test_registry_dispatch():
 
 
 def test_registry_defaults_to_stdlib_backend():
-    """The simulator path uses hashlib by default (digest *time* is
-    charged by the cost model, so only the value matters)."""
+    """The simulator path uses hashlib (digest *time* is charged by the
+    cost model, so only the value matters)."""
     data = b"fast path" * 99
     assert digest("md5", data) == hashlib.md5(data).digest()
     assert digest("sha1", data) == hashlib.sha1(data).digest()
-
-
-def test_registry_stdlib_mode_is_identical():
-    """The from-scratch backend stays and stays bit-identical."""
-    data = b"some message" * 50
-    assert digest("md5", data, use_stdlib=False) == digest("md5", data, use_stdlib=True)
-    assert digest("sha1", data, use_stdlib=False) == digest("sha1", data, use_stdlib=True)
-    assert digest("md5", data, use_stdlib=False) == md5(data)
-    assert digest("sha1", data, use_stdlib=False) == sha1(data)
 
 
 def test_none_digest_is_stable_and_short():

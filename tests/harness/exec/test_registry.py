@@ -1,4 +1,8 @@
-"""The executor registry and the ``execute()`` facade's dispatch."""
+"""The executor registry and the ``execute()`` facade's dispatch.
+
+The registration contract itself is tested once for every axis in
+``tests/test_registry_contract.py``.
+"""
 
 import pytest
 
@@ -18,8 +22,6 @@ def test_builtin_backends_are_registered():
 
 def test_unknown_backend_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown executor"):
-        exec_backends.get("carrier-pigeon")
-    with pytest.raises(ConfigError, match="unknown executor"):
         execute([], executor="carrier-pigeon")
 
 
@@ -27,17 +29,6 @@ def test_create_passes_options_through():
     backend = exec_backends.create("pool", jobs=7)
     assert backend.jobs == 7
     assert exec_backends.create("serial", jobs=0).jobs == 1  # floor
-
-
-def test_register_rejects_duplicates_and_anonymous():
-    class Anonymous(Executor):
-        def run(self, tasks, progress=None):
-            return []
-
-    with pytest.raises(ConfigError, match="has no name"):
-        exec_backends.register(Anonymous)
-    with pytest.raises(ConfigError, match="already registered"):
-        exec_backends.register(exec_backends.get("serial"))
 
 
 def test_custom_backend_reaches_the_facade(grid, serial_reference):

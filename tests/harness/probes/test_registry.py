@@ -1,4 +1,8 @@
-"""The probe registry: registration, lookup, kinds, directions."""
+"""The probe registry: registration, lookup, kinds, directions.
+
+The registration contract shared by every axis is also checked in
+``tests/test_registry_contract.py``.
+"""
 
 import pytest
 

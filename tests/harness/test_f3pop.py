@@ -33,11 +33,9 @@ def test_f3pop_grid_tasks_use_population_as_x():
     assert len({t.point_id for t in tasks}) == len(tasks)
 
 
-def test_f3pop_rejects_probe_and_fast_crypto_overrides(capsys):
+def test_f3pop_rejects_probe_overrides(capsys):
     assert main(["f3pop", "--quick", "--probes", "order-latency"]) != 0
     assert "fixed probe set" in capsys.readouterr().err
-    assert main(["f3pop", "--quick", "--fast-crypto"]) != 0
-    assert "fast" in capsys.readouterr().err
 
 
 def test_f3pop_quick_artifact_events_flat_across_populations(tmp_path, capsys):

@@ -1,23 +1,17 @@
 """Equivalence guarantees of the hot-path optimisations.
 
 The structural rework of the simulation core (slot-batched kernel,
-per-link delay streams, cost-model-only fast crypto) is sold on one
-promise: **identical results**.  These tests pin that promise directly,
-so a future "optimisation" that drifts a draw sequence or a firing
-order fails here rather than as an unexplained baseline diff.
+per-link delay streams) is sold on one promise: **identical results**.
+These tests pin that promise directly, so a future "optimisation" that
+drifts a draw sequence or a firing order fails here rather than as an
+unexplained baseline diff.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro.harness import probes as probe_registry
-from repro.harness.experiments import run_order_experiment
-from repro.harness.probes import Probe, ProbeContext
 from repro.net.delay import ConstantDelay, LanDelay, LinkDelayStream, SurgeableDelay
-from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
 
 
@@ -121,81 +115,3 @@ def test_delay_stream_slow_path_for_unknown_models():
     assert stream.sample(1000, 0.0) == 0.125
     got, want = _draw_pairs(ConstantDelay(0.002))
     assert got == want
-
-
-# ----------------------------------------------------------------------
-# 3. Fast-crypto mode: identical metrics, automatic fallback
-# ----------------------------------------------------------------------
-_QUICK = dict(n_batches=8, warmup_batches=2)
-
-
-@pytest.mark.parametrize("protocol", ["sc", "bft"])
-def test_fast_crypto_metrics_byte_identical(protocol):
-    default = run_order_experiment(protocol, "md5-rsa1024", 0.1, **_QUICK)
-    fast = run_order_experiment(
-        protocol, "md5-rsa1024", 0.1, fast_crypto=True, **_QUICK
-    )
-    assert fast.values == default.values
-    assert fast.events_processed == default.events_processed
-
-
-class _DigestReadingProbe(Probe):
-    """A probe that (claims to) read digest bytes — and records whether
-    the run actually kept real crypto on, via a metric."""
-
-    name = "digest-reader"
-    kinds = frozenset()
-    description = "test probe forcing the fast-crypto fallback"
-    provides = ("fast_crypto_active",)
-    needs_digests = True
-
-    def consume(self, record):  # pragma: no cover - no kinds subscribed
-        pass
-
-    def finalize(self):
-        from repro.crypto.costs import fast_crypto_enabled
-
-        # finalize() runs inside the experiment's crypto-mode context,
-        # so this observes the mode the simulation actually used.
-        return {"fast_crypto_active": 1.0 if fast_crypto_enabled() else 0.0}
-
-
-@pytest.fixture
-def digest_probe():
-    probe_registry.register(_DigestReadingProbe)
-    yield
-    probe_registry.unregister(_DigestReadingProbe.name)
-
-
-def test_fast_crypto_falls_back_when_probe_needs_digests(digest_probe):
-    report = run_order_experiment(
-        "sc", "md5-rsa1024", 0.1, fast_crypto=True,
-        probes=("order-latency", "digest-reader"), **_QUICK,
-    )
-    assert report.value("fast_crypto_active") == 0.0
-
-
-def test_fast_crypto_active_without_digest_probe(digest_probe):
-    # Sanity check of the detector itself: with needs_digests=False the
-    # same selection would keep fast mode on.  Flip the flag on a
-    # subclass registered under a different name.
-    class TimingProbe(_DigestReadingProbe):
-        name = "timing-reader"
-        needs_digests = False
-
-    probe_registry.register(TimingProbe)
-    try:
-        report = run_order_experiment(
-            "sc", "md5-rsa1024", 0.1, fast_crypto=True,
-            probes=("timing-reader",), **_QUICK,
-        )
-    finally:
-        probe_registry.unregister(TimingProbe.name)
-    assert report.value("fast_crypto_active") == 1.0
-
-
-def test_fast_crypto_mode_restored_after_run():
-    from repro.crypto.costs import fast_crypto_enabled
-
-    run_order_experiment("sc", "md5-rsa1024", 0.1, fast_crypto=True, **_QUICK)
-    assert not fast_crypto_enabled()

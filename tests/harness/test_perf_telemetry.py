@@ -1,16 +1,14 @@
-"""Wall-time telemetry (artifact schema v2) and cache-safety tests.
+"""Wall-time telemetry (artifact schema v3) and cache-safety tests.
 
 The hot-path optimisation runs on caches (canonical-fragment memo,
 ``signing_bytes`` LRU, payload-size memo, per-link rng streams).  The
 load-bearing invariant: **caches change wall time only, never virtual
 time** — a warm process must reproduce every simulated metric bit for
-bit.  The telemetry side: schema-v2 artifacts round-trip through the
-baseline comparator and the reader still accepts the committed
-schema-v1 baselines.
+bit.  The telemetry side: artifacts round-trip through the baseline
+comparator, and the reader accepts only the schema version it writes.
 """
 
 import dataclasses
-import json
 from pathlib import Path
 
 import pytest
@@ -28,14 +26,6 @@ from repro.harness.perf import REFERENCE_TASK, microbench, run_reference_point
 from repro.harness.runner import SweepTask, execute, run_task
 
 BASELINE_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
-#: A frozen schema-v1 document (the PR 1 fig4 baseline, kept verbatim
-#: when the committed baselines moved to v2) — the fixture that keeps
-#: the v1-reader compatibility path exercised forever.
-V1_FIXTURE = Path(__file__).resolve().parent / "data" / "BENCH_fig4_v1.json"
-#: A frozen schema-v2 document (the PR 4 fig5 baseline, kept verbatim
-#: when the committed baselines moved to v3) — same role for the
-#: v2-reader path (telemetry present, no per-point probe names).
-V2_FIXTURE = Path(__file__).resolve().parent / "data" / "BENCH_fig5_v2.json"
 
 #: A fast sweep point (sub-second) for determinism and artifact tests.
 QUICK_TASK = SweepTask(
@@ -82,7 +72,7 @@ def test_execute_progress_true_uses_default_reporter(capsys):
 
 
 # ----------------------------------------------------------------------
-# Artifact schema v2
+# Artifact schema v3
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def quick_results():
@@ -119,78 +109,25 @@ def test_v2_round_trips_through_baseline_comparator(quick_results, tmp_path):
     assert "not gated" in rendered
 
 
-def test_reader_accepts_v1_documents(quick_results):
-    """Schema-v1 artifacts (the pre-telemetry layout) must stay
-    loadable; telemetry reads as zero there."""
-    baseline = load_artifact(V1_FIXTURE)
-    assert json.loads(V1_FIXTURE.read_text())["schema_version"] == 1
-    assert baseline.schema_version == 1
-    assert baseline.events_total == 0
-    assert baseline.events_per_second == 0.0
-    assert all("events" not in p for p in baseline.points)
-
-
-def test_reader_accepts_v2_documents():
-    """Schema-v2 artifacts (telemetry, no probe names) must stay
-    loadable; ``probes`` simply reads as absent per point."""
-    baseline = load_artifact(V2_FIXTURE)
-    assert json.loads(V2_FIXTURE.read_text())["schema_version"] == 2
-    assert baseline.schema_version == 2
-    assert baseline.events_total > 0
-    assert all("probes" not in p for p in baseline.points)
-
-
 def test_committed_baselines_are_v3_with_probes():
-    """The committed quick-mode baselines regenerated to schema v3:
-    telemetry present, probe names per point, and the metrics
-    identical to the v1/v2 eras (the fixtures are the old documents
-    verbatim)."""
+    """The committed quick-mode baselines are schema v3: telemetry
+    present and probe names per point."""
     for figure in ("fig4", "fig5", "fig6", "f3"):
         baseline = load_artifact(BASELINE_DIR / f"BENCH_{figure}.json")
         assert baseline.schema_version == 3
         assert baseline.events_total > 0
         assert all(p["events"] > 0 for p in baseline.points)
         assert all(p["probes"] for p in baseline.points)
-    v3_fig4 = load_artifact(BASELINE_DIR / "BENCH_fig4.json")
-    v1_fig4 = load_artifact(V1_FIXTURE)
-    assert {p["id"]: p["metrics"] for p in v3_fig4.points} == {
-        p["id"]: p["metrics"] for p in v1_fig4.points
-    }
-    v3_fig5 = load_artifact(BASELINE_DIR / "BENCH_fig5.json")
-    v2_fig5 = load_artifact(V2_FIXTURE)
-    assert {p["id"]: p["metrics"] for p in v3_fig5.points} == {
-        p["id"]: p["metrics"] for p in v2_fig5.points
-    }
-
-
-def test_v1_vs_v2_comparison_gates_metrics_only(quick_results, tmp_path):
-    """compare() joins a v2 run against a v1 baseline: identical
-    metrics pass, and only the current side shows events/s."""
-    artifact = from_results("fig4", quick_results)
-    v1_doc = artifact.to_dict()
-    v1_doc["schema_version"] = 1
-    del v1_doc["events_total"]
-    del v1_doc["events_per_second"]
-    for point in v1_doc["points"]:
-        del point["events"]
-        del point["events_per_second"]
-        del point["probes"]
-    v1_path = tmp_path / "BENCH_fig4.json"
-    v1_path.write_text(json.dumps(v1_doc))
-    baseline = load_artifact(v1_path)
-    assert baseline.schema_version == 1
-    report = compare(artifact, baseline)
-    assert report.ok
-    assert report.suite_events_per_s == (0.0, pytest.approx(
-        artifact.events_per_second
-    ))
 
 
 def test_unsupported_schema_version_rejected(quick_results):
+    """Only the current version reads: the v1/v2 layouts (no telemetry,
+    no per-point probe names) are rejected like any unknown one."""
     doc = from_results("fig4", quick_results).to_dict()
-    doc["schema_version"] = 99
-    with pytest.raises(ConfigError):
-        validate(doc)
+    for version in (1, 2, 99):
+        doc["schema_version"] = version
+        with pytest.raises(ConfigError, match="schema version"):
+            validate(doc)
 
 
 def test_v3_requires_per_point_probes(quick_results):
@@ -198,9 +135,6 @@ def test_v3_requires_per_point_probes(quick_results):
     del doc["points"][0]["probes"]
     with pytest.raises(ConfigError, match="probes"):
         validate(doc)
-    # The same document is fine as v2: probe names arrived with v3.
-    doc["schema_version"] = 2
-    validate(doc)
 
 
 # ----------------------------------------------------------------------

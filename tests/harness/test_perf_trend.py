@@ -93,13 +93,20 @@ def _record(eps: float, created: float, sha: str = "abc") -> dict:
                 "events": 30_000,
                 "events_per_second": eps,
             },
-            "fast_crypto": {
-                "wall_time_s": 20_000 / eps,
-                "events": 30_000,
-                "events_per_second": 1.5 * eps,
-            },
         },
     }
+
+
+def _legacy_record(eps: float, created: float) -> dict:
+    """A record as earlier builds wrote it: a second reference row, for
+    a sim crypto mode since removed, next to the default one."""
+    record = _record(eps, created, sha="old")
+    record["reference"]["retired_mode"] = {
+        "wall_time_s": 20_000 / eps,
+        "events": 30_000,
+        "events_per_second": 1.5 * eps,
+    }
+    return record
 
 
 def test_write_and_load_history_roundtrip(tmp_path):
@@ -181,3 +188,25 @@ def test_compare_two_records_renders_the_trend_table(tmp_path, capsys):
     assert cmd_perf_compare(_compare_args(tmp_path)) == 0
     out = capsys.readouterr().out
     assert "Perf trend" in out and "no trend yet" not in out
+
+
+@pytest.mark.parametrize("markdown", [False, True])
+def test_compare_mixed_history_with_retired_reference_rows(
+    tmp_path, capsys, markdown
+):
+    """CI's cached rolling history mixes records carrying a reference
+    row this build no longer writes with records lacking it; the gate
+    must read both and render one table over all of them."""
+    from repro.harness.perf import cmd_perf_compare
+
+    for i, eps in enumerate([100.0, 102.0, 98.0]):
+        write_perf_record(_legacy_record(eps, created=i), tmp_path / f"old{i}.json")
+    for i, eps in enumerate([101.0, 99.0], start=3):
+        write_perf_record(_record(eps, created=i), tmp_path / f"new{i}.json")
+    assert cmd_perf_compare(_compare_args(tmp_path, markdown=markdown)) == 0
+    out = capsys.readouterr().out
+    assert "Perf trend" in out and "no trend yet" not in out
+    assert "no sustained regression" in out
+    assert out.count("old") >= 3 and out.count("abc") >= 2
+    if markdown:
+        assert "| commit | when (UTC) | wall (s) | events/s | Δ vs oldest |" in out

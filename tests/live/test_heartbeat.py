@@ -1,14 +1,15 @@
 """The heartbeat failure detector, driven without an event loop.
 
 ``check_once`` / ``note_alive`` are plain synchronous methods, so the
-suspicion and quorum logic is testable against a
-:class:`StepRuntime`-style clock with no sockets and no tasks.
+suspicion and quorum logic is testable against a plain
+:class:`~repro.sim.kernel.Simulator` clock with no sockets and no
+tasks.
 """
 
 from __future__ import annotations
 
 from repro.live.heartbeat import HeartbeatMonitor
-from repro.protocols.runtime import StepRuntime
+from repro.sim.kernel import Simulator
 
 
 class StubTransport:
@@ -32,12 +33,12 @@ def _monitor(runtime, quorum=3, timeout=1.0, on_park=None):
 
 
 def test_silent_peer_is_suspected_with_latency_in_trace():
-    runtime = StepRuntime()
+    runtime = Simulator()
     monitor = _monitor(runtime)
-    runtime.now = 0.9
+    runtime.run(until=0.9)
     monitor.note_alive("p2")
     monitor.note_alive("p4")
-    runtime.now = 1.2  # p3 silent for 1.2 > timeout 1.0
+    runtime.run(until=1.2)  # p3 silent for 1.2 > timeout 1.0
     monitor.check_once()
     assert monitor.suspected == {"p3"}
     [record] = runtime.trace.of_kind("peer_suspected")
@@ -47,12 +48,12 @@ def test_silent_peer_is_suspected_with_latency_in_trace():
 
 
 def test_restored_peer_clears_suspicion():
-    runtime = StepRuntime()
+    runtime = Simulator()
     monitor = _monitor(runtime)
-    runtime.now = 1.5
+    runtime.run(until=1.5)
     monitor.check_once()
     assert monitor.suspected == {"p2", "p3", "p4"}
-    runtime.now = 1.6
+    runtime.run(until=1.6)
     monitor.note_alive("p3")
     assert "p3" not in monitor.suspected
     [record] = runtime.trace.of_kind("peer_restored")
@@ -61,7 +62,7 @@ def test_restored_peer_clears_suspicion():
 
 
 def test_non_members_never_register():
-    runtime = StepRuntime()
+    runtime = Simulator()
     monitor = _monitor(runtime)
     monitor.note_alive("client-0")
     monitor.note_alive("p2!st")
@@ -70,12 +71,12 @@ def test_non_members_never_register():
 
 
 def test_quorum_loss_parks_with_structured_reason_and_recovers():
-    runtime = StepRuntime()
+    runtime = Simulator()
     parks: list[tuple[bool, dict]] = []
     monitor = _monitor(
         runtime, quorum=3, on_park=lambda p, d: parks.append((p, d))
     )
-    runtime.now = 1.5  # all three peers silent: alive == 1 < 3
+    runtime.run(until=1.5)  # all three peers silent: alive == 1 < 3
     monitor.check_once()
     assert monitor.parked is True
     [lost] = runtime.trace.of_kind("quorum_lost")
@@ -85,7 +86,7 @@ def test_quorum_loss_parks_with_structured_reason_and_recovers():
     assert "quorum lost" in lost.fields["reason"]
     assert parks[0][0] is True
 
-    runtime.now = 2.5
+    runtime.run(until=2.5)
     monitor.note_alive("p2")
     monitor.note_alive("p3")  # alive == 3 again
     assert monitor.parked is False
@@ -96,23 +97,23 @@ def test_quorum_loss_parks_with_structured_reason_and_recovers():
 
 
 def test_stop_folds_an_open_park_into_the_total():
-    runtime = StepRuntime()
+    runtime = Simulator()
     monitor = _monitor(runtime, quorum=3)
-    runtime.now = 1.5
+    runtime.run(until=1.5)
     monitor.check_once()
     assert monitor.parked is True
-    runtime.now = 2.0
+    runtime.run(until=2.0)
     monitor.stop()
     assert monitor.parked_total == 0.5
     assert monitor.summary()["parked_s"] == 0.5
 
 
 def test_summary_counts():
-    runtime = StepRuntime()
+    runtime = Simulator()
     monitor = _monitor(runtime, quorum=1)
-    runtime.now = 1.5
+    runtime.run(until=1.5)
     monitor.check_once()
-    runtime.now = 1.6
+    runtime.run(until=1.6)
     monitor.note_alive("p2")
     summary = monitor.summary()
     assert summary["suspicions"] == 3

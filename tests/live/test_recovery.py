@@ -30,11 +30,8 @@ from repro.core.service import ReplicatedStateMachine
 from repro.errors import ProtocolError
 from repro.live import recovery
 from repro.live.transport import LiveTransport
-from repro.protocols.runtime import (
-    StepRuntime,
-    install_prefix,
-    replay_history,
-)
+from repro.protocols.runtime import install_prefix, replay_history
+from repro.sim.kernel import Simulator
 
 from cluster_utils import finish_serve, run_load, start_serve
 
@@ -124,7 +121,7 @@ def _run_transfer(n_entries, chunk_rows, tamper=False):
         host, port = await provider.start_listener("127.0.0.1", 0)
         recovery.serve_state_transfer(provider, provider_proc)
 
-        runtime = StepRuntime()
+        runtime = Simulator()
         fetcher = recovery.PrefixFetcher(
             "p3", ["p1"], {"p1": (host, port)}, None, runtime,
             chunk_rows=chunk_rows,

@@ -4,8 +4,8 @@ The tentpole claim of the live subsystem is that SC/SCR/BFT/CT never
 depend on the simulation kernel — only on the narrow driver surface
 named by :mod:`repro.protocols.runtime`.  The proof obligation: record
 every handler dispatch of a simulated run, then re-drive each process
-through the kernel-free :class:`StepRuntime` + :class:`LocalTransport`
-backend from those recordings alone.  If the logic is genuinely
+through a plain :class:`~repro.sim.kernel.Simulator` clock and the
+network-free :class:`LocalTransport` from those recordings alone.  If the logic is genuinely
 runtime-agnostic, each replayed process reconstructs the **identical
 committed history** — same sequence numbers, same request digests,
 bit for bit — because everything else it consumed (timers, clock
@@ -21,10 +21,10 @@ from repro.harness.cluster import build_cluster
 from repro.harness.workload import OpenLoopWorkload
 from repro.protocols.runtime import (
     LocalTransport,
-    StepRuntime,
     record_dispatches,
     replay_process,
 )
+from repro.sim.kernel import Simulator
 
 END = 3.0
 
@@ -72,23 +72,28 @@ def test_replay_is_sensitive_to_missing_input():
     assert replayed.machine.history != cluster.processes[name].machine.history
 
 
-def test_step_runtime_fires_timers_in_order():
-    runtime = StepRuntime()
+def test_run_until_steps_the_replay_clock():
+    """Replay advances with ``run(until=t)``: timers due at or before
+    ``t`` fire in order, cancelled ones never, and the clock is left at
+    ``t`` so the injected dispatch sees the recorded time."""
+    runtime = Simulator()
     fired: list[str] = []
     runtime.schedule(0.2, fired.append, "b")
     runtime.schedule(0.1, fired.append, "a")
     same_t = runtime.schedule(0.3, fired.append, "c1")
     runtime.schedule_at(0.3, fired.append, "c2")
+    runtime.schedule_at(0.25, fired.append, "at-t")
     same_t.cancel()
-    assert runtime.run_until(0.25) == 2
-    assert fired == ["a", "b"]
+    runtime.run(until=0.25)
+    assert fired == ["a", "b", "at-t"]
     assert runtime.now == 0.25
-    runtime.run_until(1.0)
-    assert fired == ["a", "b", "c2"]
+    runtime.run(until=1.0)
+    assert fired == ["a", "b", "at-t", "c2"]
+    assert runtime.now == 1.0
 
 
 def test_local_transport_routes_hosted_and_remote():
-    runtime = StepRuntime()
+    runtime = Simulator()
     remote: list[tuple] = []
     transport = LocalTransport(
         runtime, on_remote=lambda *args: remote.append(args)

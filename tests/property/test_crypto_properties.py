@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from repro.crypto import dsa, rsa
 from repro.crypto.digests import digest
 from repro.crypto.encoding import canonical_bytes
-from repro.crypto.md5 import md5
 from repro.crypto.numtheory import egcd, is_probable_prime, modinv
 from repro.crypto.schemes import MD5_RSA_1024
-from repro.crypto.sha1 import sha1
 from repro.crypto.signing import SimulatedSignatureProvider
 
 # Shared keys: generating inside @given would dominate run time.
@@ -24,12 +22,12 @@ _PROVIDER = SimulatedSignatureProvider(MD5_RSA_1024, ["p1", "p2"])
 
 @given(st.binary(max_size=4096))
 def test_md5_matches_hashlib(data):
-    assert md5(data) == hashlib.md5(data).digest()
+    assert digest("md5", data) == hashlib.md5(data).digest()
 
 
 @given(st.binary(max_size=4096))
 def test_sha1_matches_hashlib(data):
-    assert sha1(data) == hashlib.sha1(data).digest()
+    assert digest("sha1", data) == hashlib.sha1(data).digest()
 
 
 @given(st.binary(max_size=256))
@@ -138,11 +136,3 @@ def test_canonical_bytes_injective_enough(a, b):
             return v
 
         assert norm(a) == norm(b)
-
-
-@given(st.binary(max_size=1024))
-def test_digests_are_stable_across_backends(data):
-    """The from-scratch reference and the default hashlib backend are
-    bit-identical on arbitrary input."""
-    assert digest("md5", data, use_stdlib=False) == digest("md5", data, use_stdlib=True)
-    assert digest("sha1", data, use_stdlib=False) == digest("sha1", data, use_stdlib=True)

@@ -1,4 +1,8 @@
-"""The protocol plugin registry: lookup, registration, n(f) rules."""
+"""The protocol plugin registry: lookup, registration, n(f) rules.
+
+The registration contract shared by every axis is also checked in
+``tests/test_registry_contract.py``.
+"""
 
 import pytest
 
